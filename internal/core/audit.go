@@ -24,11 +24,12 @@ type AuditConfig struct {
 	// dynamic draw is an engine bug, not physics. Default 0.5.
 	ShareMargin float64
 	// DeepEvery is the sampled deep-check cadence: every DeepEvery-th
-	// audited tick that was solved exactly is re-solved through the
-	// alternate exact path (the legacy mask enumeration — which checks
-	// sym-vs-mask when the collapsed solver served the tick, and
-	// plan-vs-legacy otherwise) and compared per-VM. 0 disables deep
-	// checks. Each deep check costs one full 2^n solve.
+	// audited tick that was solved exactly is re-solved through an
+	// alternate exact path and compared per-VM: the legacy mask
+	// enumeration inside the mask range (sym-vs-mask when the collapsed
+	// solver served the tick, plan-vs-legacy otherwise), and past it the
+	// per-vector EvalCounts oracle of a collapsed tick. 0 disables deep
+	// checks. Each deep check costs one full 2^n or V-vector solve.
 	DeepEvery int
 	// DeepTol is the per-VM deep-check tolerance, relative like
 	// EfficiencyTol. Default 1e-9 (the documented sym≡mask equivalence
@@ -141,19 +142,33 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 	a.deepCheck(e, snap, alloc, scale)
 }
 
-// deepCheck re-solves an exactly-solved tick through the pure legacy
-// mask path (Estimate: ClassedFeaturesFor worths + full 2^n tabulation)
-// and compares per-VM shares. When the symmetry-collapsed solver served
-// the tick this is the sym-vs-mask equivalence; otherwise it is
-// plan-vs-legacy. Monte-Carlo and fallback ticks have no exact alternate
-// and are skipped, as are sets past the mask limit (no alternate exists
-// there at all).
+// deepCheck re-solves an exactly-solved tick through an alternate exact
+// path and compares per-VM shares. Inside the mask range the alternate is
+// the pure legacy mask path (Estimate: ClassedFeaturesFor worths + full
+// 2^n tabulation): sym-vs-mask when the collapsed solver served the tick,
+// plan-vs-legacy otherwise. Past it, a collapsed tick is re-solved
+// through the per-vector EvalCounts fold (symOracle), which checks the
+// walk kernel and its dirty-class reuse. Monte-Carlo and fallback ticks
+// have no exact alternate and are skipped.
 func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Allocation, scale float64) {
-	n := len(alloc.PerVM)
-	if alloc.Method != "exact" || n > e.cfg.ExactMaxPlayers || n > vm.MaxPlayers {
+	if alloc.Method != "exact" {
 		return
 	}
-	alt, err := e.Estimate(snap, alloc.MeasuredPower)
+	var alt []float64
+	var err error
+	against := "the mask path"
+	switch n := len(alloc.PerVM); {
+	case n <= e.cfg.ExactMaxPlayers && n <= vm.MaxPlayers:
+		var res *Allocation
+		if res, err = e.Estimate(snap, alloc.MeasuredPower); err == nil {
+			alt = res.PerVM
+		}
+	case alloc.Prov.Tier == TierSymExact:
+		alt, err = e.symOracle(alloc.DynamicPower)
+		against = "the EvalCounts oracle"
+	default:
+		return
+	}
 	metrics().noteAuditDeep()
 	if err != nil {
 		a.violate(alloc, "deep-mismatch", fmt.Sprintf("alternate exact solve failed: %v", err))
@@ -163,7 +178,7 @@ func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Alloc
 	var maxDelta float64
 	worst := -1
 	for i := range alloc.PerVM {
-		d := math.Abs(alloc.PerVM[i] - alt.PerVM[i])
+		d := math.Abs(alloc.PerVM[i] - alt[i])
 		if d > maxDelta {
 			maxDelta, worst = d, i
 		}
@@ -172,8 +187,8 @@ func (a *Auditor) deepCheck(e *Estimator, snap hypervisor.Snapshot, alloc *Alloc
 	alloc.Prov.DeepMaxDeltaWatts = maxDelta
 	if maxDelta > a.cfg.DeepTol*scale {
 		a.violate(alloc, "deep-mismatch",
-			fmt.Sprintf("tier %s diverges from the mask path by %g W at VM %d (tol %g)",
-				alloc.Prov.Tier, maxDelta, worst, a.cfg.DeepTol*scale))
+			fmt.Sprintf("tier %s diverges from %s by %g W at VM %d (tol %g)",
+				alloc.Prov.Tier, against, maxDelta, worst, a.cfg.DeepTol*scale))
 		metrics().noteAuditDeepMismatch()
 	}
 }

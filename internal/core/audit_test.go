@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmpower/internal/hypervisor"
+	"vmpower/internal/machine"
 	"vmpower/internal/obs"
 	"vmpower/internal/vm"
 	"vmpower/internal/workload"
@@ -199,4 +200,60 @@ func containsViolation(vs []AuditViolation, kind string) bool {
 		}
 	}
 	return false
+}
+
+// TestAuditDeepCheckWideSym: past the mask limit a collapsed tick has no
+// mask alternate, so the deep check re-solves it through the per-vector
+// EvalCounts oracle. Full and incremental (dirty-class) ticks must match
+// it exactly; an efficiency-preserving perturbation must not.
+func TestAuditDeepCheckWideSym(t *testing.T) {
+	Instrument(nil)
+	host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, Config{Seed: 7})
+	if err := est.CollectOffline(); err != nil {
+		t.Fatal(err)
+	}
+	attachClassWorkloads(t, host, []workload.Generator{
+		workload.Synthetic{Seed: 21},
+		workload.Constant("steady", vm.State{vm.CPU: 0.5, vm.Memory: 0.25, vm.DiskIO: 0.1}),
+		workload.Synthetic{Seed: 23, IdleProb: 0.1},
+	})
+	startAll(t, host)
+	var got []AuditViolation
+	a := NewAuditor(AuditConfig{DeepEvery: 1}, func(v AuditViolation) { got = append(got, v) })
+	est.SetAuditor(a)
+	incremental := 0
+	var alloc *Allocation
+	for tick := 0; tick < 6; tick++ {
+		host.Advance(1)
+		var err error
+		if alloc, err = est.EstimateTick(); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if alloc.Prov.Tier != TierSymExact {
+			t.Fatalf("tick %d: tier %q, want %q", tick, alloc.Prov.Tier, TierSymExact)
+		}
+		if !alloc.Prov.DeepChecked || alloc.Prov.DeepMaxDeltaWatts != 0 {
+			t.Fatalf("tick %d: deep check %v, max delta %g W; want an exact match",
+				tick, alloc.Prov.DeepChecked, alloc.Prov.DeepMaxDeltaWatts)
+		}
+		if !alloc.Prov.FullTabulation {
+			incremental++
+		}
+	}
+	if len(got) != 0 {
+		t.Fatalf("clean wide ticks flagged: %+v", got)
+	}
+	if incremental == 0 {
+		t.Fatal("no incremental tick was deep-checked; test is vacuous")
+	}
+
+	// Shift 1 mW between members of different classes right after the
+	// tick, while the estimator still holds its classes.
+	alloc.PerVM[0] += 1e-3
+	alloc.PerVM[10] -= 1e-3
+	alloc.Prov = Provenance{Tier: alloc.Prov.Tier}
+	a.audit(est, host.Collect(), alloc)
+	if !containsViolation(got, "deep-mismatch") || containsViolation(got, "efficiency") {
+		t.Fatalf("violations = %+v, want deep-mismatch only", got)
+	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"vmpower/internal/hypervisor"
 	"vmpower/internal/obs"
@@ -41,6 +41,7 @@ type symScratch struct {
 	prevValid bool           // table holds the previous tick's worths
 
 	sc    shapley.SymScratch
+	walk  vhc.SymWalk
 	table []float64
 	phi   []float64
 }
@@ -202,35 +203,9 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 	}
 	s.phi = s.phi[:k]
 
-	var mu sync.Mutex
-	var worthErr error
-	classes := s.classes
-	counts := s.counts
-	worth := func(t []int) float64 {
-		grand := true
-		for j := range t {
-			if t[j] != counts[j] {
-				grand = false
-				break
-			}
-		}
-		if grand {
-			return dyn
-		}
-		p, err := plan.EvalCounts(classes, t)
-		if err != nil {
-			mu.Lock()
-			if worthErr == nil {
-				worthErr = err
-			}
-			mu.Unlock()
-			return 0
-		}
-		return p
-	}
-
-	evaluated, reused, dirtyClasses, full := v, 0, k, true
-	if s.prevValid && s.prevPlan == plan && symAligned(s.prev, classes) {
+	reused, dirtyClasses, full := 0, k, true
+	var dirty []bool
+	if s.prevValid && s.prevPlan == plan && symAligned(s.prev, s.classes) {
 		// Incremental tick: only vectors touching a class whose shared
 		// state changed need re-evaluation; the rest describe coalitions
 		// of unchanged composition and keep their worths verbatim.
@@ -240,24 +215,21 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 		s.dirty = s.dirty[:k]
 		dirtyClasses = 0
 		for j := range s.dirty {
-			s.dirty[j] = s.prev[j].State != classes[j].State
+			s.dirty[j] = s.prev[j].State != s.classes[j].State
 			if s.dirty[j] {
 				dirtyClasses++
 			}
 		}
-		full = false
-		var err error
-		evaluated, err = shapley.SymRetabulateInto(s.table, &s.sc, worth, s.dirty)
-		if err != nil {
-			s.prevValid = false
-			return false, err
-		}
+		dirty, full = s.dirty, false
+	}
+	// A failed walk may have left the table half written; never reuse it.
+	s.prevValid = false
+	evaluated, err := plan.SymTabulateInto(s.table, s.classes, dirty, &s.walk)
+	if err != nil {
+		return false, fmt.Errorf("core: worth evaluation: %w", err)
+	}
+	if !full {
 		reused = v - evaluated
-	} else {
-		s.prevValid = false
-		if err := shapley.SymTabulateInto(s.table, &s.sc, worth); err != nil {
-			return false, err
-		}
 	}
 	// The grand vector carries this tick's measured dynamic power
 	// regardless of dirtiness (dyn moves every tick even when states
@@ -266,12 +238,7 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 	sp.Mark("worth")
 
 	if err := shapley.SymExactFromTableInto(s.phi, &s.sc, s.table); err != nil {
-		s.prevValid = false
 		return false, err
-	}
-	if worthErr != nil {
-		s.prevValid = false
-		return false, fmt.Errorf("core: worth evaluation: %w", worthErr)
 	}
 
 	n := e.host.Set().Len()
@@ -288,9 +255,45 @@ func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []
 	alloc.Prov.Reused = reused
 	alloc.Prov.FullTabulation = full
 
-	s.prev = append(s.prev[:0], classes...)
+	s.prev = append(s.prev[:0], s.classes...)
 	s.prevPlan = plan
 	s.prevValid = true
 	metrics().noteSymTick(k, evaluated, reused)
 	return true, nil
+}
+
+// symOracle re-solves the tick symTick just served through the per-vector
+// fold: every worth from plan.EvalCounts (the grand vector from the
+// measured power), tabulated and solved on fresh scratch by
+// shapley.SymmetricExact. Only the way the production table's worths were
+// reached differs (the walk kernel and dirty-class reuse), so the per-VM
+// shares must agree bit for bit. It allocates a V-entry table per call;
+// the auditor calls it every DeepEvery ticks.
+func (e *Estimator) symOracle(dyn float64) ([]float64, error) {
+	s := &e.sym
+	if !s.prevValid {
+		return nil, fmt.Errorf("core: no collapsed tick to re-solve")
+	}
+	var worthErr error
+	phi, err := shapley.SymmetricExact(s.counts, func(t []int) float64 {
+		if slices.Equal(t, s.counts) {
+			return dyn
+		}
+		w, err := s.prevPlan.EvalCounts(s.classes, t)
+		if err != nil && worthErr == nil {
+			worthErr = err
+		}
+		return w
+	})
+	if err != nil {
+		return nil, err
+	}
+	if worthErr != nil {
+		return nil, fmt.Errorf("core: oracle worth evaluation: %w", worthErr)
+	}
+	out := make([]float64, e.host.Set().Len())
+	for _, i := range s.members {
+		out[i] = phi[s.classOf[i]]
+	}
+	return out, nil
 }

@@ -247,10 +247,7 @@ func diffTick(prev, cur *TickJSON) tickDelta {
 // previous snapshot stays valid for requests already holding its
 // pointer.
 func (s *Server) publishLocked(wire *TickJSON) {
-	s.deltaLog = append(s.deltaLog, diffTick(s.prevWire, wire))
-	if len(s.deltaLog) > deltaWindow {
-		s.deltaLog = s.deltaLog[len(s.deltaLog)-deltaWindow:]
-	}
+	s.deltaLog = obs.AppendWindow(s.deltaLog, diffTick(s.prevWire, wire), deltaWindow)
 	s.prevWire = wire
 
 	snap := &servedSnapshot{tick: wire.Tick}

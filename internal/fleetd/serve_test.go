@@ -432,3 +432,66 @@ func TestFleetEncodeErrorsCounted(t *testing.T) {
 		t.Fatalf("after failing delta write: counter %d, want 2", got)
 	}
 }
+
+// TestFleetDeltaLogBounded runs 3×deltaWindow ticks and pins the trimmed
+// delta log: its backing array stays within window+1 entries with the
+// dropped slots cleared, a delta from the oldest tick the log still
+// covers composes base+delta to the latest tick exactly, and one tick
+// earlier resyncs in full.
+func TestFleetDeltaLogBounded(t *testing.T) {
+	srv := scenarioServer(t, "s1@100:poweroff,s1@900:poweron")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	byTick := map[int]TickJSON{}
+	latest := 0
+	for i := 0; i < 3*deltaWindow; i++ {
+		if _, err := srv.Step(); err != nil {
+			t.Fatal(err)
+		}
+		var tick TickJSON
+		if code := getJSON(t, ts, "/api/v1/allocation", &tick); code != http.StatusOK {
+			t.Fatalf("allocation: status %d", code)
+		}
+		byTick[tick.Tick] = tick
+		latest = tick.Tick
+	}
+
+	srv.mu.RLock()
+	deltas := srv.deltaLog
+	srv.mu.RUnlock()
+	if cap(deltas) > deltaWindow+1 {
+		t.Fatalf("delta log cap %d, window %d", cap(deltas), deltaWindow)
+	}
+	for _, d := range deltas[len(deltas):cap(deltas)] {
+		if d.tick != 0 || d.hosts != nil || d.vms != nil || d.tenants != nil {
+			t.Fatalf("dropped delta entry for tick %d still reachable", d.tick)
+		}
+	}
+
+	edge := latest - deltaWindow
+	base, ok := byTick[edge]
+	if !ok {
+		t.Fatalf("no tick %d recorded", edge)
+	}
+	var delta TickDeltaJSON
+	if code := getJSON(t, ts, "/api/v1/allocation?since="+strconv.Itoa(edge), &delta); code != http.StatusOK {
+		t.Fatalf("delta: status %d", code)
+	}
+	if delta.Full || len(delta.PerVM) == 0 {
+		t.Fatalf("since=%d is inside the window: want a non-empty partial delta, got %+v", edge, delta)
+	}
+	full := byTick[latest]
+	a, _ := encodeJSON(composeTick(&base, &delta))
+	b, _ := encodeJSON(&full)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("composed tick differs:\n got %s\nwant %s", a, b)
+	}
+	var stale TickDeltaJSON
+	if code := getJSON(t, ts, "/api/v1/allocation?since="+strconv.Itoa(edge-1), &stale); code != http.StatusOK {
+		t.Fatalf("stale delta: status %d", code)
+	}
+	if !stale.Full {
+		t.Fatalf("since=%d predates the window: want a full resync, got %+v", edge-1, stale)
+	}
+}

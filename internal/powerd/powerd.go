@@ -258,10 +258,7 @@ func (s *Server) record(alloc *core.Allocation, snap *hypervisor.Snapshot) *Allo
 	}
 	s.energySeconds += dt
 	s.latest = wire
-	s.history = append(s.history, wire)
-	if len(s.history) > s.histCap {
-		s.history = s.history[len(s.history)-s.histCap:]
-	}
+	s.history = obs.AppendWindow(s.history, wire, s.histCap)
 	s.ticks++
 	s.lastTickAt = s.now()
 	s.lastErr = ""

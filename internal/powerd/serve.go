@@ -157,10 +157,7 @@ func (s *Server) publishLocked(wire *AllocationJSON) {
 		}
 		s.prevPerVM[name] = w
 	}
-	s.deltaLog = append(s.deltaLog, vmDelta{tick: wire.Tick, changed: changed})
-	if len(s.deltaLog) > deltaWindow {
-		s.deltaLog = s.deltaLog[len(s.deltaLog)-deltaWindow:]
-	}
+	s.deltaLog = obs.AppendWindow(s.deltaLog, vmDelta{tick: wire.Tick, changed: changed}, deltaWindow)
 
 	snap := &servedSnapshot{tick: wire.Tick}
 	// A body that cannot encode (NaN watts would be one) leaves its slot

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -144,19 +145,7 @@ func TestAllocationDeltaComposes(t *testing.T) {
 	if len(delta.PerVM) == 0 {
 		t.Fatal("workload tick produced no changed VMs; test is vacuous")
 	}
-	// Compose: overwrite scalars, upsert per-VM.
-	composed := base
-	composed.Tick = delta.Tick
-	composed.MeasuredWatts = delta.MeasuredWatts
-	composed.DynamicWatts = delta.DynamicWatts
-	composed.Method = delta.Method
-	composed.Degraded = delta.Degraded
-	composed.DegradedReason = delta.DegradedReason
-	composed.HoldoverAgeTicks = delta.HoldoverAgeTicks
-	composed.RejectedSamples = delta.RejectedSamples
-	for name, w := range delta.PerVM {
-		composed.PerVM[name] = w
-	}
+	composed := composeAllocation(base, delta)
 	a, _ := encodeJSON(&composed)
 	b, _ := encodeJSON(&full)
 	if !bytes.Equal(a, b) {
@@ -183,6 +172,28 @@ func TestAllocationDeltaComposes(t *testing.T) {
 	if code := getJSON(t, ts, "/api/v1/allocation?since=nope", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad since: status %d, want 400", code)
 	}
+}
+
+// composeAllocation applies a delta to a base allocation the way a delta
+// client would: overwrite the scalars, upsert the per-VM entries.
+func composeAllocation(base AllocationJSON, d AllocationDeltaJSON) AllocationJSON {
+	out := base
+	out.PerVM = make(map[string]float64, len(base.PerVM))
+	for name, w := range base.PerVM {
+		out.PerVM[name] = w
+	}
+	out.Tick = d.Tick
+	out.MeasuredWatts = d.MeasuredWatts
+	out.DynamicWatts = d.DynamicWatts
+	out.Method = d.Method
+	out.Degraded = d.Degraded
+	out.DegradedReason = d.DegradedReason
+	out.HoldoverAgeTicks = d.HoldoverAgeTicks
+	out.RejectedSamples = d.RejectedSamples
+	for name, w := range d.PerVM {
+		out.PerVM[name] = w
+	}
+	return out
 }
 
 func itoa(n int) string {
@@ -368,5 +379,92 @@ func BenchmarkServeCached(b *testing.B) {
 				tc.handler(w, req)
 			}
 		})
+	}
+}
+
+// TestBoundedLogsAcrossWindows runs 3×deltaWindow ticks and pins the
+// trimmed logs: the history ring's and the ?since= delta log's backing
+// arrays stay within window+1 entries with the dropped slots cleared, and
+// the wire output is what the windows promise — /history serves the last
+// histCap allocations, a delta from the oldest tick the log still covers
+// composes base+delta to the latest allocation exactly, and one tick
+// earlier resyncs in full.
+func TestBoundedLogsAcrossWindows(t *testing.T) {
+	srv, host := testServer(t)
+	host.SetCoalition(vm.GrandCoalition(2))
+	if err := host.Attach(0, workload.Synthetic{Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	byTick := map[int]AllocationJSON{}
+	var order []int
+	for i := 0; i < 3*deltaWindow; i++ {
+		if _, err := srv.Step(); err != nil {
+			t.Fatal(err)
+		}
+		var a AllocationJSON
+		if code := getJSON(t, ts, "/api/v1/allocation", &a); code != http.StatusOK {
+			t.Fatalf("allocation: status %d", code)
+		}
+		byTick[a.Tick] = a
+		order = append(order, a.Tick)
+	}
+
+	srv.mu.RLock()
+	hist, deltas := srv.history, srv.deltaLog
+	srv.mu.RUnlock()
+	if cap(hist) > srv.histCap+1 || cap(deltas) > deltaWindow+1 {
+		t.Fatalf("history cap %d (window %d), delta log cap %d (window %d)",
+			cap(hist), srv.histCap, cap(deltas), deltaWindow)
+	}
+	for _, p := range hist[len(hist):cap(hist)] {
+		if p != nil {
+			t.Fatalf("dropped history entry for tick %d still reachable", p.Tick)
+		}
+	}
+	for _, d := range deltas[len(deltas):cap(deltas)] {
+		if d.tick != 0 || d.changed != nil {
+			t.Fatalf("dropped delta entry for tick %d still reachable", d.tick)
+		}
+	}
+
+	var served []AllocationJSON
+	if code := getJSON(t, ts, "/api/v1/history", &served); code != http.StatusOK {
+		t.Fatalf("history: status %d", code)
+	}
+	want := order[len(order)-srv.histCap:]
+	if len(served) != len(want) {
+		t.Fatalf("history serves %d allocations, want %d", len(served), len(want))
+	}
+	for i, tick := range want {
+		if !reflect.DeepEqual(served[i], byTick[tick]) {
+			t.Fatalf("history[%d] = %+v, want tick %d's allocation %+v", i, served[i], tick, byTick[tick])
+		}
+	}
+
+	latest := byTick[order[len(order)-1]]
+	edge := latest.Tick - deltaWindow
+	base, ok := byTick[edge]
+	if !ok {
+		t.Fatalf("no allocation recorded for tick %d", edge)
+	}
+	var delta AllocationDeltaJSON
+	if code := getJSON(t, ts, "/api/v1/allocation?since="+itoa(edge), &delta); code != http.StatusOK {
+		t.Fatalf("delta: status %d", code)
+	}
+	if delta.Full || len(delta.PerVM) == 0 {
+		t.Fatalf("since=%d is inside the window: want a non-empty partial delta, got %+v", edge, delta)
+	}
+	if composed := composeAllocation(base, delta); !reflect.DeepEqual(composed, latest) {
+		t.Fatalf("base+delta = %+v, latest %+v", composed, latest)
+	}
+	var stale AllocationDeltaJSON
+	if code := getJSON(t, ts, "/api/v1/allocation?since="+itoa(edge-1), &stale); code != http.StatusOK {
+		t.Fatalf("stale delta: status %d", code)
+	}
+	if !stale.Full {
+		t.Fatalf("since=%d predates the window: want a full resync, got %+v", edge-1, stale)
 	}
 }

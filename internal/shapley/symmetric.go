@@ -212,7 +212,9 @@ func (sc *SymScratch) Prepare(counts []int) (int, error) {
 
 // SymTabulateInto evaluates worth over every count vector into table
 // (len V), in mixed-radix odometer order: empty vector first, grand
-// vector last.
+// vector last. Production ticks fill the table with vhc.Plan's walk
+// kernel instead; this generic form is the oracle that re-derives it
+// (tests and the auditor's deep re-solve) and serves SymmetricExact.
 func SymTabulateInto(table []float64, sc *SymScratch, worth SymWorthFunc) error {
 	if worth == nil {
 		return ErrNilWorth
@@ -238,56 +240,6 @@ func SymTabulateInto(table []float64, sc *SymScratch, worth SymWorthFunc) error 
 		}
 	}
 	return nil
-}
-
-// SymRetabulateInto re-evaluates only the count vectors touching a dirty
-// class — those with t_j > 0 for some j with dirty[j] — leaving every
-// other entry of the previous tabulation in place, and returns how many
-// entries it evaluated. A vector over clean classes only describes a
-// coalition whose composition is unchanged, so its worth is reused
-// verbatim; this is the count-vector analogue of the mask path's
-// dirty-coalition recurrence. Callers that override entries out of band
-// (the grand vector's measured power) must rewrite them after this
-// returns.
-func SymRetabulateInto(table []float64, sc *SymScratch, worth SymWorthFunc, dirty []bool) (int, error) {
-	if worth == nil {
-		return 0, ErrNilWorth
-	}
-	if sc.v == 0 {
-		return 0, fmt.Errorf("%w: scratch not prepared", ErrPlayers)
-	}
-	if len(table) != sc.v {
-		return 0, fmt.Errorf("shapley: table has %d entries, want %d", len(table), sc.v)
-	}
-	if len(dirty) != len(sc.counts) {
-		return 0, fmt.Errorf("shapley: %d dirty flags for %d classes", len(dirty), len(sc.counts))
-	}
-	t := sc.t
-	for j := range t {
-		t[j] = 0
-	}
-	evaluated := 0
-	active := 0 // dirty classes with t_j > 0 in the current vector
-	for idx := 0; idx < sc.v; idx++ {
-		if active > 0 {
-			table[idx] = worth(t)
-			evaluated++
-		}
-		for j := range t {
-			if t[j] < sc.counts[j] {
-				t[j]++
-				if dirty[j] && t[j] == 1 {
-					active++
-				}
-				break
-			}
-			if dirty[j] {
-				active--
-			}
-			t[j] = 0
-		}
-	}
-	return evaluated, nil
 }
 
 // SymExactFromTableInto computes the per-player Shapley value of each

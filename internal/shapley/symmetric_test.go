@@ -239,82 +239,6 @@ func TestSymmetricExactMatchesLegacy(t *testing.T) {
 	}
 }
 
-// SymRetabulateInto with a dirty subset must land on the same table as a
-// full tabulation of the new worth, touching only vectors with a dirty
-// digit > 0.
-func TestSymRetabulate(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		k := 1 + rng.Intn(4)
-		counts := make([]int, k)
-		for j := range counts {
-			counts[j] = 1 + rng.Intn(4)
-		}
-		var sc SymScratch
-		v, err := sc.Prepare(counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldW := make([]float64, v)
-		newW := make([]float64, v)
-		for i := range oldW {
-			oldW[i] = rng.Float64()
-			newW[i] = rng.Float64()
-		}
-		dirty := make([]bool, k)
-		anyDirty := false
-		for j := range dirty {
-			dirty[j] = rng.Intn(2) == 0
-			anyDirty = anyDirty || dirty[j]
-		}
-		// A clean-class vector's worth may not change between tabulations
-		// (its coalition composition is identical), so make newW agree with
-		// oldW on vectors whose dirty digits are all zero.
-		tv := make([]int, k)
-		wantEval := 0
-		for i := range newW {
-			if err := SymVectorAt(counts, i, tv); err != nil {
-				t.Fatal(err)
-			}
-			hit := false
-			for j := range tv {
-				if dirty[j] && tv[j] > 0 {
-					hit = true
-				}
-			}
-			if hit {
-				wantEval++
-			} else {
-				newW[i] = oldW[i]
-			}
-		}
-
-		table := make([]float64, v)
-		if err := SymTabulateInto(table, &sc, func(tv []int) float64 {
-			i, _ := SymIndexOf(counts, tv)
-			return oldW[i]
-		}); err != nil {
-			t.Fatal(err)
-		}
-		evaluated, err := SymRetabulateInto(table, &sc, func(tv []int) float64 {
-			i, _ := SymIndexOf(counts, tv)
-			return newW[i]
-		}, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if evaluated != wantEval {
-			t.Fatalf("counts=%v dirty=%v: evaluated %d vectors, want %d", counts, dirty, evaluated, wantEval)
-		}
-		for i := range table {
-			if table[i] != newW[i] {
-				t.Fatalf("counts=%v dirty=%v: table[%d] = %g, want %g", counts, dirty, i, table[i], newW[i])
-			}
-		}
-		_ = anyDirty
-	}
-}
-
 // With every class a singleton the collapsed game IS the mask game:
 // counts (1,1,...,1) must reproduce Exact bit-for-bit modulo index
 // permutation (mixed-radix with radix 2 equals the bitmask ordering).
@@ -383,9 +307,6 @@ func TestSymScratchReuse(t *testing.T) {
 	}
 	if err := SymExactFromTableInto(nil, &fresh, nil); !errors.Is(err, ErrPlayers) {
 		t.Fatalf("unprepared solve: %v", err)
-	}
-	if _, err := SymRetabulateInto(nil, &fresh, func([]int) float64 { return 0 }, nil); !errors.Is(err, ErrPlayers) {
-		t.Fatalf("unprepared retabulate: %v", err)
 	}
 }
 

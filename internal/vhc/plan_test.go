@@ -11,7 +11,7 @@ import (
 
 // trainedRig builds a set, class map and approximator trained on random
 // samples for every combo the set can form, with the given resolution.
-func trainedRig(t *testing.T, res float64, seed int64) (*vm.Set, *ClassMap, *Approximator) {
+func trainedRig(t testing.TB, res float64, seed int64) (*vm.Set, *ClassMap, *Approximator) {
 	t.Helper()
 	set := testSet(t) // 2x type0, 1x type1, 1x type2 on the paper catalog
 	classes, err := IdentityClassMap(len(set.Catalog()))

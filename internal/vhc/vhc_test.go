@@ -10,7 +10,7 @@ import (
 	"vmpower/internal/vm"
 )
 
-func testSet(t *testing.T) *vm.Set {
+func testSet(t testing.TB) *vm.Set {
 	t.Helper()
 	set, err := vm.NewSet(vm.PaperCatalog(), []vm.VM{
 		{Name: "VM1a", Type: 0},
