@@ -382,14 +382,15 @@ func BenchmarkOnlineEstimationTick(b *testing.B) {
 
 // BenchmarkEstimateTick measures one exact estimation tick on a
 // calibrated host at the practical sizes n = 8 and n = 16, in the two
-// regimes that bracket the compiled plan's incremental tabulation:
-// steady (constant workloads — after the first tick every coalition is
-// reused verbatim) and all-dirty (every VM's state changes every tick —
-// the whole 2^n table is re-evaluated). plan=false forces the legacy
-// path via DisableWorthPlan for before/after comparison; allocs/op is
-// the headline metric for the compiled plan.
+// regimes that bracket the collapsed walk's dirty-class skip: steady
+// (constant, pairwise distinct workloads — after the first tick every
+// vector is reused verbatim) and all-dirty (every VM's state changes
+// every tick — the whole 2^n table is re-evaluated). Every VM is its own
+// symmetry class, so the solve is the radix-2 kernel. The arm names keep
+// their plan=true suffix (the compiled plan is the only tick path now) so
+// the trajectory and the benchgate headline patterns stay comparable.
 func BenchmarkEstimateTick(b *testing.B) {
-	run := func(b *testing.B, n int, steady, plan, audited bool) {
+	run := func(b *testing.B, n int, steady, audited bool) {
 		mach, err := machine.New(machine.XeonProfile(), machine.Pack)
 		if err != nil {
 			b.Fatal(err)
@@ -414,7 +415,6 @@ func BenchmarkEstimateTick(b *testing.B) {
 			Seed:                 1,
 			OfflineTicksPerCombo: 40,
 			IdleMeasureTicks:     3,
-			DisableWorthPlan:     !plan,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -483,15 +483,13 @@ func BenchmarkEstimateTick(b *testing.B) {
 	}
 	for _, n := range []int{8, 16} {
 		for _, regime := range []string{"steady", "alldirty"} {
-			for _, plan := range []bool{true, false} {
-				b.Run(fmt.Sprintf("n=%d/%s/plan=%v", n, regime, plan), func(b *testing.B) {
-					run(b, n, regime == "steady", plan, false)
-				})
-			}
+			b.Run(fmt.Sprintf("n=%d/%s/plan=true", n, regime), func(b *testing.B) {
+				run(b, n, regime == "steady", false)
+			})
 		}
-		// The provenance arm: auditor + flight recorder on the plan path.
+		// The provenance arm: auditor + flight recorder on the tick path.
 		b.Run(fmt.Sprintf("n=%d/steady/plan=true/audited", n), func(b *testing.B) {
-			run(b, n, true, true, true)
+			run(b, n, true, true)
 		})
 	}
 

@@ -26,14 +26,15 @@ type AuditConfig struct {
 	// DeepEvery is the sampled deep-check cadence: every DeepEvery-th
 	// audited tick that was solved exactly is re-solved through an
 	// alternate exact path and compared per-VM: the legacy mask
-	// enumeration inside the mask range (sym-vs-mask when the collapsed
-	// solver served the tick, plan-vs-legacy otherwise), and past it the
-	// per-vector EvalCounts oracle of a collapsed tick. 0 disables deep
-	// checks. Each deep check costs one full 2^n or V-vector solve.
+	// enumeration inside the mask range (Estimate: the same worths
+	// reached per coalition, solved by the sharded mask engine), and past
+	// it the per-vector EvalCounts oracle of a collapsed tick. 0 disables
+	// deep checks. Each deep check costs one full 2^n or V-vector solve.
 	DeepEvery int
 	// DeepTol is the per-VM deep-check tolerance, relative like
 	// EfficiencyTol. Default 1e-9 (the documented sym≡mask equivalence
-	// bound; the plan path is bit-identical to legacy).
+	// bound; on singleton classes the two differ only in the solve's
+	// summation association, ≤1e-12 in the tests).
 	DeepTol float64
 }
 
@@ -145,8 +146,7 @@ func (a *Auditor) audit(e *Estimator, snap hypervisor.Snapshot, alloc *Allocatio
 // deepCheck re-solves an exactly-solved tick through an alternate exact
 // path and compares per-VM shares. Inside the mask range the alternate is
 // the pure legacy mask path (Estimate: ClassedFeaturesFor worths + full
-// 2^n tabulation): sym-vs-mask when the collapsed solver served the tick,
-// plan-vs-legacy otherwise. Past it, a collapsed tick is re-solved
+// 2^n tabulation over every slot). Past it, a collapsed tick is re-solved
 // through the per-vector EvalCounts fold (symOracle), which checks the
 // walk kernel and its dirty-class reuse. Monte-Carlo and fallback ticks
 // have no exact alternate and are skipped.

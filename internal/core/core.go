@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -131,13 +130,15 @@ type Config struct {
 	Classes *vhc.ClassMap
 	// RidgeLambda is passed to the VHC approximator. Default 1e-6.
 	RidgeLambda float64
-	// Parallelism is the worker count of the Shapley engine (exact
-	// tabulation/accumulation and Monte-Carlo sampling). 0 defaults to 1
-	// (serial, the paper's single-threaded pipeline); negative uses all
-	// cores (GOMAXPROCS); values >= 2 use that many workers. The
-	// allocation is a deterministic function of the snapshot and Seed at
-	// any setting: the engine's decomposition never depends on the
-	// worker count (see internal/shapley/parallel.go).
+	// Parallelism is the worker count of the Shapley engine's
+	// Monte-Carlo sampling and of the legacy mask solve behind Estimate
+	// (the audit and test oracle); EstimateTick's exact ticks run the
+	// collapsed engine on the calling goroutine. 0 defaults to 1 (serial,
+	// the paper's single-threaded pipeline); negative uses all cores
+	// (GOMAXPROCS); values >= 2 use that many workers. The allocation is
+	// a deterministic function of the snapshot and Seed at any setting:
+	// the engine's decomposition never depends on the worker count (see
+	// internal/shapley/parallel.go).
 	Parallelism int
 	// MeterRetries bounds the in-tick meter reads spent riding out
 	// dropouts and rejected (implausible) readings before the tick
@@ -167,22 +168,6 @@ type Config struct {
 	// Fallback selects the degraded-mode allocation policy on
 	// solver/worth failure. Default FallbackNone.
 	Fallback FallbackPolicy
-	// DisableWorthPlan turns off the compiled worth plan and the
-	// incremental cross-tick tabulation, forcing EstimateTick through the
-	// legacy per-coalition evaluation path (ClassedFeaturesFor +
-	// Approximator.Estimate, full tabulation every tick). The two paths
-	// produce bit-for-bit identical allocations; the flag exists for
-	// benchmarking the win and as an escape hatch. It also disables the
-	// symmetry-collapsed solver (which runs over the compiled plan), so
-	// sets past vm.MaxPlayers cannot be estimated with it set.
-	DisableWorthPlan bool
-	// DisableSymmetry turns off the symmetry-collapsed exact solver,
-	// forcing every plan-served exact tick through 2^n mask enumeration
-	// (or Monte-Carlo past ExactMaxPlayers). The escape hatch exists for
-	// benchmarking and for pinning the equivalence in tests; sets past
-	// vm.MaxPlayers cannot be estimated with it set, since no mask
-	// fallback exists there.
-	DisableSymmetry bool
 }
 
 func (c Config) withDefaults() Config {
@@ -216,9 +201,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Solver tiers, as recorded in Provenance.Tier: the 2^n mask-exact
-// path, the symmetry-collapsed exact path, Monte-Carlo sampling, and the
-// degraded-mode fallback split.
+// Solver tiers, as recorded in Provenance.Tier: the legacy 2^n
+// mask-exact path (Estimate, a tick without a compiled plan, and ticks
+// with no running VM), the symmetry-collapsed exact path (every other
+// exact tick), Monte-Carlo sampling, and the degraded-mode fallback
+// split.
 const (
 	TierMaskExact  = "exact-mask"
 	TierSymExact   = "exact-sym"
@@ -230,8 +217,6 @@ const (
 // into Provenance without allocating.
 const (
 	reasonNoRunning   = "no running VMs"
-	reasonMaskBudget  = "within exact mask budget; no profitable symmetry collapse"
-	reasonSymDisabled = "symmetry collapse disabled; within exact mask budget"
 	reasonSymCollapse = "running VMs collapse into symmetry classes within the vector budget"
 	reasonMCPlayers   = "player count beyond the exact budget"
 	reasonLegacyPlan  = "worth plan unavailable; legacy per-coalition path"
@@ -249,12 +234,12 @@ type Provenance struct {
 	// TierReason says why the gate picked it.
 	Tier       string
 	TierReason string
-	// DirtyVMs counts the solve units (VMs on the mask path, symmetry
-	// classes on the collapsed path) whose state changed since the
+	// DirtyVMs counts the symmetry classes whose state changed since the
 	// previous tick; Evaluated and Reused count worth-table entries
 	// re-evaluated vs reused verbatim; FullTabulation marks a tick that
-	// rebuilt the whole table (first tick, running-set change, new plan).
-	// All zero on Monte-Carlo and fallback ticks.
+	// rebuilt the whole table (first tick, class-layout change, new plan;
+	// always on the legacy mask path). All zero on Monte-Carlo and
+	// fallback ticks.
 	DirtyVMs       int
 	Evaluated      int
 	Reused         int
@@ -294,7 +279,7 @@ type Allocation struct {
 	Method string
 	// SymmetryClasses is the number of symmetry classes the tick's exact
 	// solve collapsed the running VMs into, 0 when the collapsed solver
-	// was not used (mask path, Monte-Carlo, fallback).
+	// was not used (legacy mask path, Monte-Carlo, fallback).
 	SymmetryClasses int
 	// Degraded marks an allocation produced under fault handling: the
 	// measured power is a held-over stale sample, or the shares came from
@@ -353,7 +338,6 @@ type Estimator struct {
 	plan      *vhc.Plan
 	planEpoch uint64
 	planTried bool
-	scratch   tickScratch
 	sym       symScratch
 
 	// planCompiles / planCompileErrors count ensurePlan outcomes for this
@@ -365,23 +349,6 @@ type Estimator struct {
 	// auditor, when installed, runs the per-tick invariant checks at the
 	// end of EstimateTickSpan. Owned by the estimation goroutine.
 	auditor *Auditor
-}
-
-// tickScratch is the buffer set the plan-based exact path reuses across
-// ticks: the worth table (for the incremental dirty-coalition recurrence),
-// the φ vector and the solver's shard partials, plus the previous tick's
-// states for dirty detection. Owned exclusively by the estimation
-// goroutine (EstimateTickSpan's single-goroutine contract); the shapley
-// *Into calls may read the table from worker goroutines during a solve
-// but ownership returns to the caller before the solve returns.
-type tickScratch struct {
-	valid      bool         // table holds the previous tick's worths
-	plan       *vhc.Plan    // the plan the table was evaluated under
-	running    vm.Coalition // previous tick's running set
-	prevStates []vm.State
-	table      []float64
-	phi        []float64
-	partials   []float64
 }
 
 // New builds an Estimator over a host and a meter.
@@ -865,8 +832,9 @@ func (e *Estimator) Estimate(snap hypervisor.Snapshot, measuredTotal float64) (*
 // The exact path always runs the sharded engine, even at Parallelism 1
 // (where it executes on the calling goroutine): the shard decomposition
 // depends only on n, so the allocation is bit-for-bit identical at every
-// parallelism setting — and identical to the compiled-plan tick path,
-// which uses the same decomposition (see estimateTick).
+// parallelism setting. Its worths are bit-identical to the compiled-plan
+// tick path's; only the solve's summation association differs (see
+// estimateTick).
 func (e *Estimator) estimateSpan(snap hypervisor.Snapshot, measuredTotal float64, sp *obs.Span) (*Allocation, error) {
 	if !e.trained {
 		return nil, ErrUntrained
@@ -1001,12 +969,12 @@ func (e *Estimator) buildWorth(snap hypervisor.Snapshot, dyn float64) (shapley.W
 // ensurePlan returns the compiled worth plan for the current model epoch,
 // compiling one lazily when the model has changed since the last compile
 // (CollectOffline, LoadModel, or any direct approximator mutation — all
-// advance vhc.Approximator.Epoch). It returns nil when the plan is
-// disabled, the estimator is untrained, or compilation failed for this
-// epoch — the caller then serves the legacy path; a failed compile is not
-// retried until the model changes again.
+// advance vhc.Approximator.Epoch). It returns nil when the estimator is
+// untrained or compilation failed for this epoch — the caller then serves
+// the legacy path; a failed compile is not retried until the model
+// changes again.
 func (e *Estimator) ensurePlan() *vhc.Plan {
-	if e.cfg.DisableWorthPlan || !e.trained {
+	if !e.trained {
 		return nil
 	}
 	epoch := e.approx.Epoch()
@@ -1030,17 +998,15 @@ func (e *Estimator) ensurePlan() *vhc.Plan {
 }
 
 // InvalidatePlan discards the compiled worth plan and every cross-tick
-// structure keyed on the VM set's shape: the incremental worth table,
-// the symmetry scratch and the fallback-hold proportions. Call it after
-// mutating the host's roster (hypervisor.Host.AddVM) — the approximator
-// epoch only tracks the model, not the set, so without this the next
-// tick would evaluate a plan compiled for the old n. Same
-// single-goroutine contract as EstimateTickSpan.
+// structure keyed on the VM set's shape: the collapsed worth table and
+// the fallback-hold proportions. Call it after mutating the host's
+// roster (hypervisor.Host.AddVM) — the approximator epoch only tracks
+// the model, not the set, so without this the next tick would evaluate a
+// plan compiled for the old n. Same single-goroutine contract as
+// EstimateTickSpan.
 func (e *Estimator) InvalidatePlan() {
 	e.plan = nil
 	e.planTried = false
-	e.scratch.valid = false
-	e.scratch.plan = nil
 	e.sym.prevValid = false
 	e.sym.prevPlan = nil
 	e.lastShares = nil
@@ -1065,8 +1031,9 @@ func (e *Estimator) CalibratedForClass(t vm.TypeID) bool {
 // semantics (measured dynamic power for the running grand coalition, 0
 // for the empty set, stopped VMs masked out as dummies) with vhc.Plan.Eval
 // replacing the allocating ClassedFeaturesFor + Approximator.Estimate
-// pair. Same thread-safety contract as buildWorth; Plan.Eval is immutable
-// and lock-free, so concurrent shard evaluations never contend.
+// pair. It feeds the Monte-Carlo tier. Same thread-safety contract as
+// buildWorth; Plan.Eval is immutable and lock-free, so concurrent sampler
+// workers never contend.
 func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn float64) (shapley.WorthFunc, func() error) {
 	var mu sync.Mutex
 	var worthErr error
@@ -1099,17 +1066,18 @@ func planWorth(plan *vhc.Plan, running vm.Coalition, states []vm.State, dyn floa
 	}
 }
 
-// estimateTick is the EstimateTick engine: estimateSpan plus the
-// compiled-plan fast path. When a plan is available the 2^n worth
-// evaluations run allocation-free through Plan.Eval, the worth table, φ
-// and shard partials live in the estimator's reusable scratch, and ticks
-// whose running set and plan match the previous tick re-evaluate only the
-// coalitions intersecting the set of VMs whose (quantized) states changed
-// — everything else is reused verbatim. The result is bit-for-bit
-// identical to the legacy estimateSpan at any parallelism: Plan.Eval
-// reproduces the legacy worth bits, a reused table entry is exactly what
-// re-evaluation would produce (worths are pure functions of unchanged
-// member states), and both paths run the same sharded accumulation.
+// estimateTick is the EstimateTick engine: estimateSpan over the
+// compiled worth plan. Every exact tick runs the symmetry-collapsed
+// engine (symTick): the running VMs group into classes of bit-equal
+// state, the walk kernel fills the collapsed table with one feature
+// addition per vector, skipping vectors whose classes kept their state,
+// and the collapsed solver accumulates φ. When every class is a
+// singleton the table holds exactly the legacy path's worths of the
+// running VMs' 2^n coalitions, bit for bit, and the solver's radix-2 kernel sums the same terms
+// in a different association, so the shares agree with Estimate to
+// ≤1e-12 of the dynamic power. Ticks past the exact budget sample
+// Monte-Carlo permutations over planWorth, bit-identical to the legacy
+// sampler. Without a plan (compile failure) the legacy path serves.
 //
 // Like EstimateTickSpan, this mutates estimator state and must be driven
 // from a single goroutine; Estimate stays on the pure legacy path.
@@ -1130,12 +1098,11 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 	if dyn < 0 {
 		dyn = 0
 	}
-	running := snap.Coalition
 	members := e.runningMembers(snap)
 
 	alloc := &Allocation{
 		Tick:          snap.Tick,
-		Coalition:     running,
+		Coalition:     snap.Coalition,
 		MeasuredPower: measuredTotal,
 		DynamicPower:  dyn,
 	}
@@ -1150,148 +1117,37 @@ func (e *Estimator) estimateTick(snap hypervisor.Snapshot, measuredTotal float64
 		return e.attributeIdle(alloc, members), nil
 	}
 
-	// Symmetry-collapsed exact path: when the running VMs group into
-	// k < n_running classes (same VHC class bit, bit-equal state), solve
-	// the collapsed game over ∏(c_j+1) count vectors instead of 2^n
-	// masks — the only exact route on wide hosts, and past the gate in
-	// symWorthwhile a strict win inside the mask range too.
-	if !e.cfg.DisableSymmetry {
-		handled, err := e.symTick(plan, snap, members, dyn, sp, alloc)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			sp.Mark("solve")
-			alloc = e.attributeIdle(alloc, members)
-			sp.Mark("normalize")
-			return alloc, nil
-		}
+	handled, err := e.symTick(plan, snap, members, dyn, sp, alloc)
+	if err != nil {
+		return nil, err
 	}
-	if wide {
-		return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and do not collapse into symmetry classes within the per-tick vector budget", len(members), vm.MaxPlayers)
-	}
-
-	worth, worthErr := planWorth(plan, running, snap.States, dyn)
-
-	var phi []float64
-	var err error
-	if n <= e.cfg.ExactMaxPlayers {
-		alloc.Method = "exact"
-		alloc.Prov.Tier = TierMaskExact
-		if e.cfg.DisableSymmetry {
-			alloc.Prov.TierReason = reasonSymDisabled
-		} else {
-			alloc.Prov.TierReason = reasonMaskBudget
+	if !handled {
+		if wide {
+			return nil, fmt.Errorf("core: %d running VMs exceed the %d-player mask limit and do not collapse into symmetry classes within the per-tick vector budget", len(members), vm.MaxPlayers)
 		}
-		err = e.exactIncremental(plan, snap, worth, dyn, n, sp, alloc)
-		if err == nil {
-			phi = append(make([]float64, 0, n), e.scratch.phi...)
-		}
-	} else {
+		worth, worthErr := planWorth(plan, snap.Coalition, snap.States, dyn)
 		alloc.Method = "montecarlo"
 		alloc.Prov.Tier = TierMonteCarlo
 		alloc.Prov.TierReason = reasonMCPlayers
-		var res *shapley.MCResult
-		res, err = shapley.MonteCarlo(n, worth, shapley.MCOptions{
+		res, err := shapley.MonteCarlo(n, worth, shapley.MCOptions{
 			Permutations: e.cfg.MCPermutations,
 			Seed:         e.cfg.Seed ^ int64(snap.Tick),
 			Parallelism:  e.cfg.Parallelism,
 		})
-		if res != nil {
-			phi = res.Phi
+		if err == nil {
+			if werr := worthErr(); werr != nil {
+				err = fmt.Errorf("core: worth evaluation: %w", werr)
+			}
 		}
+		if err != nil {
+			return nil, err
+		}
+		alloc.PerVM = res.Phi
 	}
 	sp.Mark("solve")
-	if err == nil {
-		if werr := worthErr(); werr != nil {
-			err = fmt.Errorf("core: worth evaluation: %w", werr)
-		}
-	}
-	if err != nil {
-		// A failed worth evaluation may have written zeros into the
-		// table; never reuse it.
-		e.scratch.valid = false
-		return nil, err
-	}
-	alloc.PerVM = phi
 	alloc = e.attributeIdle(alloc, members)
 	sp.Mark("normalize")
 	return alloc, nil
-}
-
-// exactIncremental runs the exact path into the estimator's scratch
-// buffers, incrementally when possible. The cross-tick recurrence: if the
-// previous tick tabulated the same plan over the same running set, a
-// coalition's worth can only have changed if it contains a VM whose state
-// changed (the dirty set) — those masks are re-evaluated in place — or if
-// it maps to the running grand coalition, whose worth is the measured
-// dynamic power of *this* tick; those entries are rewritten explicitly.
-// Everything else (2^n − 2^(n−d) of the table for d dirty VMs) is reused
-// verbatim, which is exact because worths are pure functions of their
-// members' states. φ lands in e.scratch.phi.
-func (e *Estimator) exactIncremental(plan *vhc.Plan, snap hypervisor.Snapshot, worth shapley.WorthFunc, dyn float64, n int, sp *obs.Span, alloc *Allocation) error {
-	ts := &e.scratch
-	size := 1 << uint(n)
-	running := snap.Coalition
-	m := metrics()
-	if ts.valid && ts.plan == plan && ts.running == running && len(ts.table) == size {
-		// Incremental tick: re-evaluate only dirty-intersecting masks.
-		// Snapshots are pre-quantized by the hypervisor, so exact float
-		// comparison is the right dirty test (and NaN, impossible here,
-		// would fail toward re-evaluation anyway).
-		var dirty vm.Coalition
-		for mm := uint32(running); mm != 0; {
-			b := bits.TrailingZeros32(mm)
-			mm &^= 1 << uint(b)
-			if snap.States[b] != ts.prevStates[b] {
-				dirty |= 1 << uint(b)
-			}
-		}
-		if err := shapley.RetabulateParallelInto(ts.table, n, worth, dirty, e.cfg.Parallelism); err != nil {
-			return err
-		}
-		// The grand-equivalent entries (supersets of running) carry this
-		// tick's measured dynamic power regardless of dirtiness.
-		comp := vm.GrandCoalition(n) &^ running
-		for sub := comp; ; sub = (sub - 1) & comp {
-			ts.table[running|sub] = dyn
-			if sub == 0 {
-				break
-			}
-		}
-		alloc.Prov.DirtyVMs = dirty.Size()
-		alloc.Prov.Evaluated = size - (size >> uint(dirty.Size()))
-		alloc.Prov.Reused = size >> uint(dirty.Size())
-		m.notePlanTick(alloc.Prov.DirtyVMs, alloc.Prov.Evaluated, alloc.Prov.Reused, false)
-	} else {
-		// Full tabulation: first tick, running-set change, or new plan.
-		if len(ts.table) != size {
-			ts.table = make([]float64, size)
-		}
-		if len(ts.phi) != n {
-			ts.phi = make([]float64, n)
-		}
-		if len(ts.partials) < shapley.ExactScratch(n) {
-			ts.partials = make([]float64, shapley.ExactScratch(n))
-		}
-		ts.valid = false
-		if err := shapley.TabulateParallelInto(ts.table, n, worth, e.cfg.Parallelism); err != nil {
-			return err
-		}
-		alloc.Prov.DirtyVMs = running.Size()
-		alloc.Prov.Evaluated = size
-		alloc.Prov.FullTabulation = true
-		m.notePlanTick(running.Size(), size, 0, true)
-	}
-	sp.Mark("worth")
-	if err := shapley.ExactFromTableParallelInto(ts.phi, ts.partials, n, ts.table, e.cfg.Parallelism); err != nil {
-		return err
-	}
-	ts.prevStates = append(ts.prevStates[:0], snap.States...)
-	ts.running = running
-	ts.plan = plan
-	ts.valid = true
-	return nil
 }
 
 // Interactions computes the pairwise Shapley interaction index of the

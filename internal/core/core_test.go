@@ -603,15 +603,17 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 	// seed and snapshot the allocation must be bit-for-bit identical at
 	// any worker count (the engine's decomposition is fixed; see
 	// internal/shapley/parallel.go). Exercise both the exact path and,
-	// via a lowered ExactMaxPlayers, the Monte-Carlo path.
+	// via a lowered ExactMaxPlayers, the Monte-Carlo path, each through
+	// EstimateTick and through the legacy Estimate.
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		legacy bool
 	}{
-		{"exact", Config{Seed: 12}},
-		{"exact-legacy", Config{Seed: 12, DisableWorthPlan: true}},
-		{"montecarlo", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}},
-		{"montecarlo-legacy", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96, DisableWorthPlan: true}},
+		{"exact", Config{Seed: 12}, false},
+		{"exact-legacy", Config{Seed: 12}, true},
+		{"montecarlo", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, false},
+		{"montecarlo-legacy", Config{Seed: 12, ExactMaxPlayers: 2, MCPermutations: 96}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			estimate := func(parallelism int) []float64 {
@@ -628,7 +630,17 @@ func TestParallelismDeterministicAllocations(t *testing.T) {
 				}
 				host.SetCoalition(vm.CoalitionOf(0, 1, 2))
 				host.Advance(1)
-				alloc, err := est.EstimateTick()
+				var alloc *Allocation
+				var err error
+				if tc.legacy {
+					var s meter.Sample
+					if s, err = est.m.Sample(); err != nil {
+						t.Fatal(err)
+					}
+					alloc, err = est.Estimate(host.Collect(), s.Power)
+				} else {
+					alloc, err = est.EstimateTick()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,9 +7,9 @@ import (
 )
 
 // Metrics is the package's self-reporting surface: the compiled-plan
-// lifecycle and the incremental tabulation's cache behaviour. All handles
-// are nil-safe obs metrics, so an uninstrumented estimator pays one
-// atomic pointer load per tick and nothing else.
+// lifecycle, the collapsed tabulation's cache behaviour and the auditor.
+// All handles are nil-safe obs metrics, so an uninstrumented estimator
+// pays one atomic pointer load per tick and nothing else.
 type Metrics struct {
 	// PlanCompiles counts worth-plan compilations
 	// (vmpower_plan_compiles_total); PlanCompileErrors counts failed
@@ -17,20 +17,6 @@ type Metrics struct {
 	// the model changes (vmpower_plan_compile_errors_total).
 	PlanCompiles      *obs.Counter
 	PlanCompileErrors *obs.Counter
-	// PlanTicks counts exact ticks served through the compiled plan;
-	// PlanFullTabulations counts the subset that could not reuse the
-	// previous tick's table (first tick, running-set change, new plan)
-	// (vmpower_plan_ticks_total, vmpower_plan_full_tabulations_total).
-	PlanTicks           *obs.Counter
-	PlanFullTabulations *obs.Counter
-	// PlanDirtyVMs is the dirty-set size of the last plan tick
-	// (vmpower_plan_dirty_vms).
-	PlanDirtyVMs *obs.Gauge
-	// PlanCoalitionsEvaluated / PlanCoalitionsReused count worth-table
-	// entries re-evaluated vs reused verbatim by the incremental
-	// recurrence (vmpower_plan_coalitions_{evaluated,reused}_total).
-	PlanCoalitionsEvaluated *obs.Counter
-	PlanCoalitionsReused    *obs.Counter
 	// SymTicks counts exact ticks served through the symmetry-collapsed
 	// solver (vmpower_sym_ticks_total); SymClasses is the class count of
 	// the last such tick (vmpower_sym_classes). SymVectorsEvaluated /
@@ -72,16 +58,6 @@ func Instrument(reg *obs.Registry) {
 			"compiled worth-plan builds (one per model epoch)"),
 		PlanCompileErrors: reg.Counter("vmpower_plan_compile_errors_total",
 			"worth-plan compiles that failed (estimator serves the legacy path)"),
-		PlanTicks: reg.Counter("vmpower_plan_ticks_total",
-			"exact estimation ticks served through the compiled plan"),
-		PlanFullTabulations: reg.Counter("vmpower_plan_full_tabulations_total",
-			"plan ticks that re-tabulated the whole 2^n worth table"),
-		PlanDirtyVMs: reg.Gauge("vmpower_plan_dirty_vms",
-			"VMs whose state changed since the previous tick (last plan tick)"),
-		PlanCoalitionsEvaluated: reg.Counter("vmpower_plan_coalitions_evaluated_total",
-			"worth-table entries (re-)evaluated by plan ticks"),
-		PlanCoalitionsReused: reg.Counter("vmpower_plan_coalitions_reused_total",
-			"worth-table entries reused verbatim across ticks"),
 		SymTicks: reg.Counter("vmpower_sym_ticks_total",
 			"exact estimation ticks served through the symmetry-collapsed solver"),
 		SymClasses: reg.Gauge("vmpower_sym_classes",
@@ -160,18 +136,4 @@ func (m *Metrics) noteAuditDeepMismatch() {
 		return
 	}
 	m.AuditDeepMismatches.Inc()
-}
-
-// notePlanTick publishes one plan-served exact tick's cache behaviour.
-func (m *Metrics) notePlanTick(dirty, evaluated, reused int, full bool) {
-	if m == nil {
-		return
-	}
-	m.PlanTicks.Inc()
-	if full {
-		m.PlanFullTabulations.Inc()
-	}
-	m.PlanDirtyVMs.Set(float64(dirty))
-	m.PlanCoalitionsEvaluated.Add(uint64(evaluated))
-	m.PlanCoalitionsReused.Add(uint64(reused))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -110,41 +112,57 @@ func planScenario(t *testing.T, hosts []*hypervisor.Host, step func(tick int)) {
 	phase(vm.CoalitionOf(0, 1, 2), 8)  // recovery
 }
 
-// TestPlanEstimateTickMatchesLegacy runs the full scenario on two
-// identically seeded rigs — one on the compiled-plan path, one forced onto
-// the legacy path via DisableWorthPlan — and demands bit-identical
-// allocations every tick. This pins the incremental cross-tick reuse
-// against a from-scratch tabulation under steady states, dirty subsets and
-// coalition changes.
+// requireMatchesLegacy re-solves the tick got was served for on the
+// legacy mask path (Estimate: buildWorth worths, a full 2^n tabulation
+// and the sharded mask solve) and demands the same allocation. The worths
+// of the two paths are bit-identical; only the solve's summation
+// association differs, so the shares must agree to 1e-12 of the dynamic
+// power, and everything else exactly.
+func requireMatchesLegacy(t *testing.T, est *Estimator, host *hypervisor.Host, got *Allocation, label string) {
+	t.Helper()
+	want, err := est.Estimate(host.Collect(), got.MeasuredPower)
+	if err != nil {
+		t.Fatalf("%s: legacy estimate: %v", label, err)
+	}
+	if got.Tick != want.Tick || got.Coalition != want.Coalition || got.Method != want.Method ||
+		got.MeasuredPower != want.MeasuredPower || got.DynamicPower != want.DynamicPower {
+		t.Fatalf("%s: tick %+v != legacy %+v", label, got, want)
+	}
+	tol := 1e-12 * math.Max(1, got.DynamicPower)
+	within := func(what string, g, w []float64) {
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s has %d entries, legacy %d", label, what, len(g), len(w))
+		}
+		for i := range g {
+			if math.Abs(g[i]-w[i]) > tol {
+				t.Fatalf("%s: %s[%d] = %.17g, legacy %.17g (tol %g)", label, what, i, g[i], w[i], tol)
+			}
+		}
+	}
+	within("PerVM", got.PerVM, want.PerVM)
+	within("IdlePerVM", got.IdlePerVM, want.IdlePerVM)
+}
+
+// TestPlanEstimateTickMatchesLegacy runs the full scenario and re-solves
+// every tick on the legacy mask path (requireMatchesLegacy). This pins
+// the collapsed walk's cross-tick reuse and the radix-2 solve against a
+// from-scratch tabulation under steady states, dirty subsets and
+// coalition changes, with the legacy solve at parallelism 1 and 4.
 func TestPlanEstimateTickMatchesLegacy(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		cfg := Config{Seed: 3, Parallelism: par}
-		legacyCfg := cfg
-		legacyCfg.DisableWorthPlan = true
-		hostP, estP := testRig(t, cfg)
-		hostL, estL := testRig(t, legacyCfg)
-		if err := estP.CollectOffline(); err != nil {
+		host, est := testRig(t, Config{Seed: 3, Parallelism: par, IdleAttribution: IdleProportional})
+		if err := est.CollectOffline(); err != nil {
 			t.Fatal(err)
 		}
-		if err := estL.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
-		planScenario(t, []*hypervisor.Host{hostP, hostL}, func(tick int) {
-			allocP, err := estP.EstimateTick()
+		planScenario(t, []*hypervisor.Host{host}, func(tick int) {
+			alloc, err := est.EstimateTick()
 			if err != nil {
 				t.Fatalf("par %d tick %d: plan estimate: %v", par, tick, err)
 			}
-			allocL, err := estL.EstimateTick()
-			if err != nil {
-				t.Fatalf("par %d tick %d: legacy estimate: %v", par, tick, err)
+			if alloc.Prov.Tier != TierSymExact {
+				t.Fatalf("par %d tick %d: tier %q, want %q", par, tick, alloc.Prov.Tier, TierSymExact)
 			}
-			// Provenance names the path that served the tick, so it differs
-			// between the rigs by construction; the equivalence claim is
-			// about the allocation itself.
-			allocP.Prov, allocL.Prov = Provenance{}, Provenance{}
-			if !reflect.DeepEqual(allocP, allocL) {
-				t.Fatalf("par %d tick %d: plan %+v != legacy %+v", par, tick, allocP, allocL)
-			}
+			requireMatchesLegacy(t, est, host, alloc, fmt.Sprintf("par %d tick %d", par, tick))
 		})
 	}
 }
@@ -180,33 +198,24 @@ func TestPlanParallelismDeepEqual(t *testing.T) {
 
 // TestPlanMonteCarloMatchesLegacy forces the Monte-Carlo arm (lowered
 // ExactMaxPlayers) so the plan-backed worth feeds the permutation sampler;
-// with a fixed seed the result must match the legacy worth bit for bit.
+// with a fixed seed the result must match the legacy worth's (Estimate)
+// bit for bit.
 func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
-	cfg := Config{Seed: 11, ExactMaxPlayers: 2, MCPermutations: 64}
-	legacyCfg := cfg
-	legacyCfg.DisableWorthPlan = true
-	hostP, estP := testRig(t, cfg)
-	hostL, estL := testRig(t, legacyCfg)
-	if err := estP.CollectOffline(); err != nil {
+	host, est := testRig(t, Config{Seed: 11, ExactMaxPlayers: 2, MCPermutations: 64})
+	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
-	if err := estL.CollectOffline(); err != nil {
+	if err := host.Attach(1, workload.Synthetic{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for _, host := range []*hypervisor.Host{hostP, hostL} {
-		if err := host.Attach(1, workload.Synthetic{Seed: 2}); err != nil {
-			t.Fatal(err)
-		}
-		host.SetCoalition(vm.CoalitionOf(0, 1, 2))
-	}
+	host.SetCoalition(vm.CoalitionOf(0, 1, 2))
 	for tick := 0; tick < 6; tick++ {
-		hostP.Advance(1)
-		hostL.Advance(1)
-		allocP, err := estP.EstimateTick()
+		host.Advance(1)
+		allocP, err := est.EstimateTick()
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocL, err := estL.EstimateTick()
+		allocL, err := est.Estimate(host.Collect(), allocP.MeasuredPower)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,9 +230,10 @@ func TestPlanMonteCarloMatchesLegacy(t *testing.T) {
 }
 
 // TestPlanMetricsCounters wires the package metrics and checks the
-// scenario's cache behaviour is observable: every exact tick is a plan
-// tick, steady ticks reuse coalitions verbatim, and the running-set
-// changes force full retabulations.
+// scenario's cache behaviour is observable on the vmpower_sym_* series:
+// every exact tick is a collapsed tick, steady ticks reuse vectors
+// verbatim, dirty ticks re-evaluate them, and the running-set changes
+// force full tabulations.
 func TestPlanMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	Instrument(reg)
@@ -234,28 +244,34 @@ func TestPlanMetricsCounters(t *testing.T) {
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
-	ticks := 0
+	ticks, full := 0, 0
+	var evaluated, reused int
 	planScenario(t, []*hypervisor.Host{host}, func(int) {
-		if _, err := est.EstimateTick(); err != nil {
+		alloc, err := est.EstimateTick()
+		if err != nil {
 			t.Fatal(err)
 		}
 		ticks++
+		if alloc.Prov.FullTabulation {
+			full++
+		}
+		evaluated += alloc.Prov.Evaluated
+		reused += alloc.Prov.Reused
 	})
-	if got := m.PlanTicks.Value(); got != uint64(ticks) {
-		t.Fatalf("PlanTicks = %d, want %d", got, ticks)
+	if got := m.SymTicks.Value(); got != uint64(ticks) {
+		t.Fatalf("SymTicks = %d, want %d", got, ticks)
 	}
 	if m.PlanCompiles.Value() != 1 {
 		t.Fatalf("PlanCompiles = %d, want 1 (one model epoch)", m.PlanCompiles.Value())
 	}
-	full := m.PlanFullTabulations.Value()
-	// First tick plus the three coalition changes retabulate in full.
-	if full < 4 || full == uint64(ticks) {
-		t.Fatalf("PlanFullTabulations = %d over %d ticks, want >= 4 and < ticks", full, ticks)
+	// First tick plus the three coalition changes tabulate in full.
+	if full < 4 || full == ticks {
+		t.Fatalf("%d full tabulations over %d ticks, want >= 4 and < ticks", full, ticks)
 	}
-	if m.PlanCoalitionsReused.Value() == 0 {
-		t.Fatal("steady phases must reuse coalitions verbatim")
+	if got := m.SymVectorsReused.Value(); got == 0 || got != uint64(reused) {
+		t.Fatalf("SymVectorsReused = %d, want %d > 0 (steady phases reuse vectors verbatim)", got, reused)
 	}
-	if m.PlanCoalitionsEvaluated.Value() == 0 {
-		t.Fatal("dirty phases must re-evaluate coalitions")
+	if got := m.SymVectorsEvaluated.Value(); got == 0 || got != uint64(evaluated) {
+		t.Fatalf("SymVectorsEvaluated = %d, want %d > 0 (dirty phases re-evaluate vectors)", got, evaluated)
 	}
 }

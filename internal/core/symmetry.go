@@ -11,13 +11,14 @@ import (
 	"vmpower/internal/vm"
 )
 
-// This file implements the symmetry-collapsed exact tick: when the
-// running VMs group into k < n classes sharing a VHC class bit and a
-// bit-equal quantized state, every worth the game can ask about is
-// invariant under permuting a class's members, so the tick solves the
-// collapsed game over type-count vectors (V = ∏(c_j+1) entries) instead
-// of 2^n coalition masks. This is both a large win on dense repeated
-// populations within the mask range and the ONLY exact route past
+// This file implements the symmetry-collapsed exact tick, the production
+// route of every exact tick: the running VMs group into k <= n classes
+// sharing a VHC class bit and a bit-equal quantized state, every worth
+// the game can ask about is invariant under permuting a class's members,
+// so the tick solves the collapsed game over type-count vectors
+// (V = ∏(c_j+1) entries). With k == n the vectors are the 2^n coalition
+// masks of the running set and the solver runs its radix-2 kernel; with
+// repeats V shrinks far below 2^n, which is the only exact route past
 // vm.MaxPlayers, where coalition bitmasks cannot exist at all.
 
 // symVectorBudget caps the collapsed enumeration per tick on wide hosts
@@ -27,7 +28,7 @@ import (
 const symVectorBudget = 1 << 22
 
 // symScratch is the cross-tick state of the collapsed path, owned by the
-// estimation goroutine exactly like tickScratch.
+// estimation goroutine (EstimateTickSpan's single-goroutine contract).
 type symScratch struct {
 	members []int          // running VM ids, ascending
 	group   map[symKey]int // class key -> class index, this tick
@@ -114,27 +115,25 @@ func (e *Estimator) buildSymClasses(plan *vhc.Plan, snap hypervisor.Snapshot, me
 	return nil
 }
 
-// symWorthwhile decides whether the collapsed enumeration beats the
-// alternative for nr running players in k classes, and returns the vector
-// count V when it does. The tiers:
+// symWorthwhile decides whether the tick of nr running players in
+// classes of the given sizes is solved exactly on the collapsed path, and
+// returns the vector count V when it is. The tiers:
 //
-//   - nr <= cfg.ExactMaxPlayers: the mask path costs 2^nr, so collapse
-//     only when it at least halves the table (V <= 2^(nr-1)); below that
-//     the mask path's incremental machinery is the better engine.
+//   - nr <= cfg.ExactMaxPlayers (within vm.MaxPlayers): always. V <= 2^nr,
+//     the 2^n enumeration's own size, with equality when every class is a
+//     singleton. Stopped or retired slots cost nothing: the game is over
+//     the running VMs only.
 //   - nr <= vm.MaxPlayers: the alternative is Monte-Carlo; collapse when
 //     V stays within the configured exact budget (2^ExactMaxPlayers,
 //     capped at the per-tick vector budget) — an exact answer at the cost
 //     the operator already signed off on for exact ticks.
 //   - nr > vm.MaxPlayers: no mask fallback exists; collapse whenever V
 //     fits the per-tick budget.
-func symWorthwhile(nr, k int, counts []int, cfg Config) (int, bool) {
-	if k >= nr {
-		return 0, false // all players distinct: nothing collapses
-	}
+func symWorthwhile(nr int, counts []int, cfg Config) (int, bool) {
 	var budget int
 	switch {
-	case nr <= cfg.ExactMaxPlayers:
-		budget = 1 << uint(nr-1)
+	case nr <= cfg.ExactMaxPlayers && nr <= vm.MaxPlayers:
+		budget = 1 << uint(nr)
 	case nr <= vm.MaxPlayers:
 		b := cfg.ExactMaxPlayers
 		if b > 22 {
@@ -142,9 +141,6 @@ func symWorthwhile(nr, k int, counts []int, cfg Config) (int, bool) {
 		}
 		budget = 1 << uint(b)
 	default:
-		budget = symVectorBudget
-	}
-	if budget > symVectorBudget {
 		budget = symVectorBudget
 	}
 	v := 1
@@ -175,16 +171,17 @@ func symAligned(prev, cur []vhc.SymClass) bool {
 }
 
 // symTick attempts the symmetry-collapsed exact solve for the tick. It
-// returns handled=false (and no error) when the tick does not collapse
-// profitably — the caller then serves the mask path. On success the
-// allocation's PerVM, Method and SymmetryClasses are filled in.
+// returns handled=false (and no error) when the tick is past the exact
+// budget (see symWorthwhile) — the caller then samples Monte-Carlo. On
+// success the allocation's PerVM, Method and SymmetryClasses are filled
+// in.
 func (e *Estimator) symTick(plan *vhc.Plan, snap hypervisor.Snapshot, members []int, dyn float64, sp *obs.Span, alloc *Allocation) (bool, error) {
 	s := &e.sym
 	if err := e.buildSymClasses(plan, snap, members); err != nil {
 		return false, err
 	}
 	k := len(s.classes)
-	v, ok := symWorthwhile(len(members), k, s.counts, e.cfg)
+	v, ok := symWorthwhile(len(members), s.counts, e.cfg)
 	if !ok {
 		return false, nil
 	}

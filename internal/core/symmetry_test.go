@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -81,31 +82,24 @@ func startAll(t *testing.T, host *hypervisor.Host) {
 	}
 }
 
-// TestSymmetryMatchesLegacyExact is the tentpole's equivalence property:
-// a 14-VM host (12x type0 + 2x type1, class workloads) run twice from the
-// same seed — once on the symmetry-collapsed path, once forced onto 2^n
-// mask enumeration via DisableSymmetry — must agree on every share of
-// every tick to 1e-12 of the measured power scale, across constant-state
-// reuse ticks, all-dirty synthetic ticks and running-set changes.
+// TestSymmetryMatchesLegacyExact is the collapsed engine's equivalence
+// property: every tick of a 14-VM host (12x type0 + 2x type1, class
+// workloads) is re-solved on the legacy 2^n mask path (Estimate), and the
+// two must agree on every share to 1e-12 of the dynamic power, across
+// constant-state reuse ticks, all-dirty synthetic ticks and running-set
+// changes.
 func TestSymmetryMatchesLegacyExact(t *testing.T) {
 	typeCounts := []int{12, 2}
 	cfg := Config{Seed: 3, OfflineTicksPerCombo: 40, IdleMeasureTicks: 3}
-	legacyCfg := cfg
-	legacyCfg.DisableSymmetry = true
 	hostS, estS := symTestRig(t, machine.XeonProfile(), typeCounts, cfg)
-	hostL, estL := symTestRig(t, machine.XeonProfile(), typeCounts, legacyCfg)
-	for _, est := range []*Estimator{estS, estL} {
-		if err := est.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
+	if err := estS.CollectOffline(); err != nil {
+		t.Fatal(err)
 	}
-	hosts := []*hypervisor.Host{hostS, hostL}
-	for _, host := range hosts {
-		attachClassWorkloads(t, host, []workload.Generator{
-			workload.Synthetic{Seed: 11}, // type 0: all 12 members dirty every tick
-			workload.Constant("steady", vm.State{vm.CPU: 0.4, vm.Memory: 0.2, vm.DiskIO: 0.1}),
-		})
-	}
+	hosts := []*hypervisor.Host{hostS}
+	attachClassWorkloads(t, hostS, []workload.Generator{
+		workload.Synthetic{Seed: 11}, // type 0: all 12 members dirty every tick
+		workload.Constant("steady", vm.State{vm.CPU: 0.4, vm.Memory: 0.2, vm.DiskIO: 0.1}),
+	})
 
 	symTicks := 0
 	step := func(tick int) {
@@ -113,29 +107,13 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: sym estimate: %v", tick, err)
 		}
-		allocL, err := estL.EstimateTick()
-		if err != nil {
-			t.Fatalf("tick %d: legacy estimate: %v", tick, err)
+		if allocS.Prov.Tier != TierSymExact {
+			t.Fatalf("tick %d: tier %q, want %q", tick, allocS.Prov.Tier, TierSymExact)
 		}
-		if allocL.SymmetryClasses != 0 {
-			t.Fatalf("tick %d: DisableSymmetry rig reports %d classes", tick, allocL.SymmetryClasses)
-		}
-		if allocS.Method != "exact" || allocL.Method != "exact" {
-			t.Fatalf("tick %d: methods %q / %q", tick, allocS.Method, allocL.Method)
-		}
-		if allocS.MeasuredPower != allocL.MeasuredPower {
-			t.Fatalf("tick %d: measured %v != %v", tick, allocS.MeasuredPower, allocL.MeasuredPower)
-		}
-		if allocS.SymmetryClasses > 0 {
+		if allocS.SymmetryClasses < allocS.Coalition.Size() {
 			symTicks++
 		}
-		tol := 1e-12 * math.Max(1, allocS.MeasuredPower)
-		for i := range allocS.PerVM {
-			if math.Abs(allocS.PerVM[i]-allocL.PerVM[i]) > tol {
-				t.Fatalf("tick %d VM %d: sym %.17g, legacy %.17g (tol %g)",
-					tick, i, allocS.PerVM[i], allocL.PerVM[i], tol)
-			}
-		}
+		requireMatchesLegacy(t, estS, hostS, allocS, fmt.Sprintf("tick %d", tick))
 		// Symmetry axiom, exactly: same-class members get the same share
 		// bit for bit on the collapsed path (one phi per class).
 		if allocS.SymmetryClasses > 0 {
@@ -184,7 +162,7 @@ func TestSymmetryMatchesLegacyExact(t *testing.T) {
 	phase([]int{0, 1, 2, 13}, 8) // class-count change: (9, 1), full retab
 	phase(nil, 6)                // recovery
 	if symTicks == 0 {
-		t.Fatal("no tick used the symmetry-collapsed path")
+		t.Fatal("no tick collapsed a repeated class")
 	}
 }
 
@@ -272,44 +250,40 @@ func TestSymmetryWideHost(t *testing.T) {
 	}
 }
 
-// TestSymmetryWideHostRequiresCollapse pins the wide-host error paths:
-// with the collapsed solver disabled (or the worth plan off entirely) a
-// set past the mask limit cannot be estimated, and the error says why.
+// TestSymmetryWideHostRequiresCollapse pins the wide-host error path:
+// a set past the mask limit whose running VMs do not collapse within the
+// per-tick vector budget (30 distinct states, V = 2^30) cannot be
+// estimated, and the error says why.
 func TestSymmetryWideHostRequiresCollapse(t *testing.T) {
-	for _, cfg := range []Config{
-		{Seed: 7, DisableSymmetry: true},
-		{Seed: 7, DisableWorthPlan: true},
-	} {
-		host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, cfg)
-		if err := est.CollectOffline(); err != nil {
-			t.Fatal(err)
-		}
-		startAll(t, host)
-		host.Advance(1)
-		_, err := est.EstimateTick()
-		if err == nil {
-			t.Fatalf("cfg %+v: wide host without collapse must error", cfg)
-		}
-		if !strings.Contains(err.Error(), "mask limit") {
-			t.Fatalf("cfg %+v: error %q does not mention the mask limit", cfg, err)
-		}
-	}
-	// Estimate (the pure mask-path API) refuses wide sets outright.
 	host, est := symTestRig(t, machine.DenseProfile(), []int{10, 10, 10}, Config{Seed: 7})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < host.Set().Len(); i++ {
+		if err := host.Attach(vm.ID(i), workload.Synthetic{Seed: int64(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	startAll(t, host)
 	host.Advance(1)
+	_, err := est.EstimateTick()
+	if err == nil {
+		t.Fatal("wide host without collapse must error")
+	}
+	if !strings.Contains(err.Error(), "mask limit") {
+		t.Fatalf("error %q does not mention the mask limit", err)
+	}
+	// Estimate (the pure mask-path API) refuses wide sets outright.
 	if _, err := est.Estimate(host.Collect(), 500); err == nil {
 		t.Fatal("Estimate on a wide set must error")
 	}
 }
 
-// TestSymmetryGateKeepsDistinctGamesOnMaskPath pins the gate: when every
-// running VM is its own class (distinct states), the collapsed solver
-// stays out of the way and the plan's mask machinery serves the tick.
-func TestSymmetryGateKeepsDistinctGamesOnMaskPath(t *testing.T) {
+// TestSymmetryGateDistinctGamesTakeSymPath pins the gate: when every
+// running VM is its own class (distinct states), the tick still takes
+// the collapsed path, with one class per running VM (the solver's
+// radix-2 case), and matches the legacy mask solve.
+func TestSymmetryGateDistinctGamesTakeSymPath(t *testing.T) {
 	host, est := symTestRig(t, machine.XeonProfile(), []int{2, 1}, Config{Seed: 5})
 	if err := est.CollectOffline(); err != nil {
 		t.Fatal(err)
@@ -321,16 +295,25 @@ func TestSymmetryGateKeepsDistinctGamesOnMaskPath(t *testing.T) {
 		}
 	}
 	startAll(t, host)
+	distinctTicks := 0
 	for tick := 0; tick < 5; tick++ {
 		host.Advance(1)
 		alloc, err := est.EstimateTick()
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := host.Collect()
-		distinct := snap.States[0] != snap.States[1]
-		if distinct && alloc.SymmetryClasses != 0 {
-			t.Fatalf("tick %d: distinct states but %d symmetry classes", tick, alloc.SymmetryClasses)
+		if alloc.Prov.Tier != TierSymExact {
+			t.Fatalf("tick %d: tier %q, want %q", tick, alloc.Prov.Tier, TierSymExact)
 		}
+		if snap := host.Collect(); snap.States[0] != snap.States[1] {
+			distinctTicks++
+			if alloc.SymmetryClasses != 3 {
+				t.Fatalf("tick %d: distinct states but %d symmetry classes, want 3", tick, alloc.SymmetryClasses)
+			}
+		}
+		requireMatchesLegacy(t, est, host, alloc, fmt.Sprintf("tick %d", tick))
+	}
+	if distinctTicks == 0 {
+		t.Fatal("no tick had distinct states")
 	}
 }

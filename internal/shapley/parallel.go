@@ -142,57 +142,6 @@ func TabulateParallelInto(table []float64, n int, worth WorthFunc, parallelism i
 	return nil
 }
 
-// RetabulateParallelInto re-evaluates only the table entries whose
-// coalition intersects dirty, leaving every other entry untouched — the
-// incremental cross-tick form of TabulateParallelInto. When table was
-// produced by a (Re)Tabulate call against a pure worth function and only
-// the states of the VMs in dirty changed since, the result is bit-for-bit
-// identical to a full retabulation: an entry not intersecting dirty
-// depends only on unchanged member states, so its cached value is exactly
-// what worth would return. Callers whose worth carries cross-coalition
-// state (e.g. the measured grand-coalition override) must fold the
-// affected masks into dirty or rewrite those entries themselves.
-//
-// dirty == 0 is a no-op; the shard layout matches TabulateParallelInto,
-// so the result is identical at any parallelism.
-func RetabulateParallelInto(table []float64, n int, worth WorthFunc, dirty vm.Coalition, parallelism int) error {
-	if n < 1 || n > ExactMaxPlayers {
-		return fmt.Errorf("%w: n=%d", ErrPlayers, n)
-	}
-	if worth == nil {
-		return ErrNilWorth
-	}
-	if len(table) != 1<<uint(n) {
-		return fmt.Errorf("shapley: table has %d entries, want 2^%d", len(table), n)
-	}
-	if dirty == 0 {
-		return nil
-	}
-	m := metrics()
-	start := m.startTimer()
-	shards := exactShards(n)
-	per := len(table) / shards
-	if resolveParallelism(parallelism) > 1 && shards > 1 {
-		runSharded(shards, parallelism, func(shard int) {
-			lo := shard * per
-			hi := lo + per
-			for s := lo; s < hi; s++ {
-				if vm.Coalition(s)&dirty != 0 {
-					table[s] = worth(vm.Coalition(s))
-				}
-			}
-		})
-	} else {
-		for s := range table {
-			if vm.Coalition(s)&dirty != 0 {
-				table[s] = worth(vm.Coalition(s))
-			}
-		}
-	}
-	m.observeTabulate(start)
-	return nil
-}
-
 // ExactFromTableParallel computes the exact Shapley value from a
 // pre-tabulated worth table with up to parallelism workers. The mask
 // space is split into exactShards(n) contiguous shards; each shard

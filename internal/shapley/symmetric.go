@@ -35,6 +35,7 @@ package shapley
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vmpower/internal/vm"
 )
@@ -246,7 +247,8 @@ func SymTabulateInto(table []float64, sc *SymScratch, worth SymWorthFunc) error 
 // symmetry class from a tabulated collapsed game: phi[j] is the share of
 // ONE player of class j (the class total is c_j·phi[j]; efficiency reads
 // Σ_j c_j·phi[j] = v(grand) − v(empty)). phi must have one entry per
-// class; it is zeroed here.
+// class; it is overwritten. When every class is a singleton it runs the
+// radix-2 kernel, whose result is bit-identical to the generic loop's.
 func SymExactFromTableInto(phi []float64, sc *SymScratch, table []float64) error {
 	if sc.v == 0 {
 		return fmt.Errorf("%w: scratch not prepared", ErrPlayers)
@@ -258,6 +260,23 @@ func SymExactFromTableInto(phi []float64, sc *SymScratch, table []float64) error
 	if len(table) != sc.v {
 		return fmt.Errorf("shapley: table has %d entries, want %d", len(table), sc.v)
 	}
+	if k == sc.n { // every class a singleton: V == 2^n
+		symRadix2(phi, sc.w, table)
+	} else {
+		symGeneric(phi, sc, table)
+	}
+	return nil
+}
+
+// symGeneric is the mixed-radix accumulation of SymExactFromTableInto:
+// one odometer walk over the table, one shared multinomial per vector and
+// a per-class ratio for each of its marginal contributions.
+func symGeneric(phi []float64, sc *SymScratch, table []float64) {
+	k := len(sc.counts)
+	// The caller checked len(phi) == k; restating it frees the register
+	// the bounds checks would otherwise hold, which keeps the inner loops
+	// free of stack spills.
+	phi = phi[:k]
 	for j := range phi {
 		phi[j] = 0
 	}
@@ -294,7 +313,27 @@ func SymExactFromTableInto(phi []float64, sc *SymScratch, table []float64) error
 			t[j] = 0
 		}
 	}
-	return nil
+}
+
+// symRadix2 is SymExactFromTableInto when every class has one member.
+// The digits are then bits, index(t) is a coalition mask, every binomial
+// is 1 and every ratio (c_j−t_j)/c_j is 1, so the generic coefficient
+// reduces to the mask weight w[|t|] and each term is bit-equal to the
+// generic loop's. The loop runs class-major over the contiguous halves of
+// the table where bit j is clear; each φ_j still sums its terms in
+// ascending index order, so the result is bit-identical to the generic
+// loop, with no binomial product and no division per vector.
+func symRadix2(phi, w, table []float64) {
+	for j := range phi {
+		bit := 1 << uint(j)
+		acc := 0.0
+		for lo := 0; lo < len(table); lo += 2 * bit {
+			for idx := lo; idx < lo+bit; idx++ {
+				acc += w[bits.OnesCount(uint(idx))] * (table[idx+bit] - table[idx])
+			}
+		}
+		phi[j] = acc
+	}
 }
 
 // SymmetricExact computes the exact per-player Shapley value of a game

@@ -389,11 +389,14 @@ func FuzzSymTabulate(f *testing.F) {
 	})
 }
 
-// BenchmarkSymSingletons sizes the walk against the mask route where the
-// two enumerate the same 2^16 coalitions: a 16-VM host (10/4/2 VMs of the
-// three test types) with every VM its own symmetry class. Both arms
-// tabulate and solve on one goroutine, with the exact-match table on
-// (res=0.01, every worth a table probe) and off (res=0, regression only).
+// BenchmarkSymSingletons sizes the production exact tick where every VM
+// is its own symmetry class: a 16-VM host (10/4/2 VMs of the three test
+// types), 2^16 coalitions. The sym-walk arm is the production route (walk
+// kernel plus the solver's radix-2 kernel); the mask arm is the legacy
+// 2^n route that Estimate and the auditor's deep re-solve keep as the
+// oracle, sized here for comparison. Both arms tabulate and solve on one
+// goroutine, with the exact-match table on (res=0.01, every worth a table
+// probe) and off (res=0, regression only).
 func BenchmarkSymSingletons(b *testing.B) {
 	const n = 16
 	vms := make([]vm.VM, n)

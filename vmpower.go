@@ -91,10 +91,12 @@ type Config struct {
 	// IdleAttribution adds an idle-power share to each allocation:
 	// "none" (default), "equal" or "proportional" (Sec. VIII).
 	IdleAttribution string
-	// Parallelism is the Shapley engine's worker count: 0 (default)
-	// runs serial like the paper's pipeline, negative uses all cores,
-	// N >= 2 uses N workers. Allocations are identical for a fixed Seed
-	// at any setting — parallelism only changes wall-clock time.
+	// Parallelism is the Shapley engine's worker count for Monte-Carlo
+	// ticks (exact ticks run the collapsed solver on the calling
+	// goroutine): 0 (default) runs serial like the paper's pipeline,
+	// negative uses all cores, N >= 2 uses N workers. Allocations are
+	// identical for a fixed Seed at any setting — parallelism only
+	// changes wall-clock time.
 	Parallelism int
 }
 
